@@ -1245,9 +1245,13 @@ impl SessionNode {
     /// Forwards the token to the next member: attach queued multicasts,
     /// admit pending joiners, hand off a TBM token if a merge is due.
     fn pass_token(&mut self, now: Time) {
+        let hold_deadline = self.role.hold_deadline();
         let Some(mut token) = self.role.take_token(now) else {
             return;
         };
+        if let Some(deadline) = hold_deadline {
+            self.obs.hold_late.record(now.since(deadline).as_nanos());
+        }
         // Stage b3': pass-side work begins. The EATING hold between b3
         // and here is deliberately not a stage — it measures the
         // application's token-hold budget, not the pipeline.

@@ -42,6 +42,10 @@ pub struct NodeObs {
     pub token_rotation: Histogram,
     /// HUNGRY→EATING wait.
     pub hungry_wait: Histogram,
+    /// Token pass time minus the EATING hold deadline: how late the
+    /// node's event loop woke to forward the token (0 when on time or early; a pass
+    /// held back by the master lock counts the whole overhang).
+    pub hold_late: Histogram,
     /// STARVING→regenerated duration (911 recovery, §2.3).
     pub recovery_911: Histogram,
     /// Multicast submit→local delivery, agreed mode.
@@ -85,6 +89,7 @@ impl NodeObs {
             journal: TraceJournal::default(),
             token_rotation: Histogram::new(),
             hungry_wait: Histogram::new(),
+            hold_late: Histogram::new(),
             recovery_911: Histogram::new(),
             submit_to_deliver_agreed: Histogram::new(),
             submit_to_deliver_safe: Histogram::new(),

@@ -487,6 +487,15 @@ impl Role {
         }
     }
 
+    /// The token-hold deadline, if EATING (feeds the hold-lateness
+    /// histogram when the token is passed).
+    pub fn hold_deadline(&self) -> Option<Time> {
+        match self.inner() {
+            RoleInner::Eating(s) => Some(s.deadline()),
+            _ => None,
+        }
+    }
+
     /// Which protocol timer fired at `now`, if any.
     pub fn timer(&self, now: Time, hungry_timeout: Duration, master_held: bool) -> TimerFired {
         match self.inner() {
@@ -762,6 +771,7 @@ mod tests {
         assert_eq!(r.take_token(Time(1)), None, "HUNGRY holds no token");
         r.accept_token(token(), Time(5));
         assert!(r.is_eating());
+        assert_eq!(r.hold_deadline(), Some(Time(5)));
         let t = r.take_token(Time(5)).expect("EATING hands the token out");
         assert_eq!(t.ring.len(), 3);
         assert_eq!(r.name(), "HUNGRY");

@@ -13,9 +13,11 @@
 //! - **Send** with `sendmmsg`, gathering every queued frame for a socket
 //!   into one syscall, two iovecs per frame (stack-encoded wire header +
 //!   the payload `Bytes` in place — no per-frame copy or allocation).
-//! - **Wait** with one `poll(2)` across all owned sockets plus a loopback
+//! - **Wait** with one `ppoll(2)` across all owned sockets plus a loopback
 //!   wake socket, so a driver thread can block on the network and still be
-//!   roused instantly by a command ([`IoWaker`]).
+//!   roused instantly by a command ([`IoWaker`]). The deadline reaches the
+//!   kernel at nanosecond resolution, so a protocol timer (the token hold)
+//!   fires when it is due, not at the next whole millisecond.
 //!
 //! A portable scalar path ([`IoBackend::Scalar`]) does the same work with
 //! one-datagram-at-a-time `std` socket calls; it is the only backend off
@@ -45,7 +47,7 @@ use std::os::fd::AsRawFd;
 /// Which syscall strategy a [`BatchIo`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoBackend {
-    /// `sendmmsg`/`recvmmsg`/`poll` batching (Linux only; requesting it
+    /// `sendmmsg`/`recvmmsg`/`ppoll` batching (Linux only; requesting it
     /// elsewhere silently falls back to [`IoBackend::Scalar`]).
     Batched,
     /// Portable one-datagram-at-a-time `std` socket calls. Kept as the
@@ -103,7 +105,7 @@ pub struct IoMetrics {
     pub syscalls_send: Counter,
     /// `recvmmsg`/`recv_from` calls issued (successful, i.e. ≥1 datagram).
     pub syscalls_recv: Counter,
-    /// `poll(2)` calls issued (batched backend only).
+    /// `ppoll(2)` calls issued (batched backend only; one per wait).
     pub syscalls_poll: Counter,
     /// Datagrams handed to the kernel.
     pub packets_sent: Counter,
@@ -497,12 +499,8 @@ impl BatchIo {
             events: mmsg::POLLIN,
             revents: 0,
         });
-        let mut ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-        if ms == 0 && !timeout.is_zero() {
-            ms = 1;
-        }
         self.metrics.syscalls_poll.inc();
-        let ready = match mmsg::poll_read(&mut self.scratch.pollfds, ms) {
+        let ready = match mmsg::poll_read(&mut self.scratch.pollfds, timeout) {
             Ok(r) => r,
             Err(_) => return 0,
         };
@@ -613,9 +611,12 @@ impl BatchIo {
             if got > 0 {
                 return got;
             }
+            // Sleep in steps of at most 1 ms, but never past the
+            // deadline, so a sub-millisecond remainder is honoured.
+            let now = Instant::now();
             match deadline {
-                Some(d) if Instant::now() < d => {
-                    std::thread::sleep(Duration::from_millis(1));
+                Some(d) if now < d => {
+                    std::thread::sleep((d - now).min(Duration::from_millis(1)));
                 }
                 _ => return 0,
             }

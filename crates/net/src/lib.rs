@@ -24,7 +24,7 @@
 //! run under both backends.
 
 // `deny` rather than `forbid` so the one FFI module (`mmsg`, the
-// sendmmsg/recvmmsg/poll bindings) can opt in with a module-level allow;
+// sendmmsg/recvmmsg/ppoll bindings) can opt in with a module-level allow;
 // everything else in the crate stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Linux batched-syscall bindings: `sendmmsg`, `recvmmsg`, `poll`.
+//! Linux batched-syscall bindings: `sendmmsg`, `recvmmsg`, `ppoll`.
 //!
 //! The offline build environment has no `libc` crate, so the three
 //! functions the batched I/O engine needs are declared directly against
@@ -20,6 +20,7 @@
 use std::io;
 use std::net::SocketAddr;
 use std::os::fd::RawFd;
+use std::time::{Duration, Instant};
 
 /// `MSG_DONTWAIT`: make one `recvmmsg`/`sendmmsg` call non-blocking
 /// regardless of the socket's file-status flags.
@@ -117,6 +118,22 @@ pub struct PollFd {
     pub revents: i16,
 }
 
+/// `struct timespec` (64-bit Linux layout): the `ppoll` timeout.
+#[repr(C)]
+struct TimeSpec {
+    sec: i64,
+    nsec: i64,
+}
+
+impl TimeSpec {
+    fn from_duration(d: Duration) -> TimeSpec {
+        TimeSpec {
+            sec: d.as_secs().min(i64::MAX as u64) as i64,
+            nsec: i64::from(d.subsec_nanos()),
+        }
+    }
+}
+
 /// A raw `sockaddr_in`/`sockaddr_in6` image plus its length, built once
 /// per destination and pointed at by `msg_name`.
 #[repr(C, align(8))]
@@ -186,7 +203,12 @@ extern "C" {
         flags: i32,
         timeout: *mut core::ffi::c_void,
     ) -> i32;
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: u64,
+        timeout: *const TimeSpec,
+        sigmask: *const core::ffi::c_void,
+    ) -> i32;
 }
 
 /// Transmits up to `msgs.len()` datagrams in one syscall; returns how
@@ -235,14 +257,21 @@ pub fn recv_many(fd: RawFd, msgs: &mut [MMsgHdr]) -> io::Result<usize> {
     }
 }
 
-/// Waits up to `timeout_ms` for any fd in `fds` to become readable;
-/// returns the number of ready descriptors (0 = timeout). Retries
-/// `EINTR` internally with the same timeout (the engine's deadline loop
-/// bounds total wait).
-pub fn poll_read(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+/// Waits up to `timeout` for any fd in `fds` to become readable;
+/// returns the number of ready descriptors (0 = timeout). The full
+/// nanosecond timeout reaches the kernel (`ppoll`), so a sub-millisecond
+/// deadline is neither truncated nor rounded up. `EINTR` is retried
+/// internally with the time remaining until the original deadline, so
+/// a signal never stretches the total wait.
+pub fn poll_read(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    let start = Instant::now();
+    let mut remaining = timeout;
     loop {
-        // SAFETY: `fds` is a caller-held slice, valid for the call.
-        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
+        let ts = TimeSpec::from_duration(remaining);
+        // SAFETY: `fds` is a caller-held slice and `ts` a local, both
+        // valid for the call; the null sigmask is explicitly allowed by
+        // the ppoll ABI (keep the thread's current mask).
+        let n = unsafe { ppoll(fds.as_mut_ptr(), fds.len() as u64, &ts, std::ptr::null()) };
         if n >= 0 {
             return Ok(n as usize);
         }
@@ -250,5 +279,6 @@ pub fn poll_read(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
         if err.kind() != io::ErrorKind::Interrupted {
             return Err(err);
         }
+        remaining = timeout.saturating_sub(start.elapsed());
     }
 }

@@ -113,6 +113,7 @@ impl Cluster {
                 o.token_rotation.clone(),
             );
             r.attach_histogram("raincore_hungry_wait_ns", labels, o.hungry_wait.clone());
+            r.attach_histogram("raincore_token_hold_late_ns", labels, o.hold_late.clone());
             r.attach_histogram("raincore_911_recovery_ns", labels, o.recovery_911.clone());
             r.attach_histogram(
                 "raincore_token_encode_bytes",
@@ -263,6 +264,7 @@ mod tests {
         assert!(text.contains("raincore_session_token_body_cache_hits{node=\"0\"}"));
         assert!(text.contains("raincore_session_token_body_cache_misses{node=\"0\"}"));
         assert!(text.contains("raincore_token_encode_bytes_count{node=\"1\"}"));
+        assert!(text.contains("raincore_token_hold_late_ns_count{node=\"2\"}"));
         assert!(text.contains("raincore_sim_live_members 3"));
         let json = c.json_snapshot();
         assert!(json.contains("\"name\":\"raincore_token_rotation_ns\""));
@@ -279,6 +281,19 @@ mod tests {
             // One rotation interval per accept, minus the very first.
             assert_eq!(h.count, tokens - 1, "node {id}");
             assert!(h.p50 > 0 && h.p99 >= h.p50 && h.max >= h.p99, "{h:?}");
+        }
+    }
+
+    #[test]
+    fn hold_lateness_is_zero_under_exact_ticks() {
+        let mut c = Cluster::founding(3, fast()).unwrap();
+        c.run_for(Duration::from_secs(1));
+        for id in c.member_ids() {
+            let h = c.session(id).unwrap().obs().hold_late.summary();
+            // Every pass is recorded, and the simulator ticks each node
+            // exactly at its hold deadline.
+            assert!(h.count > 0, "node {id}");
+            assert_eq!(h.max, 0, "node {id}: {h:?}");
         }
     }
 

@@ -76,6 +76,9 @@ echo "==> micro-bench (report + <=25% allocation regression vs committed BENCH_5
 cargo run --release -q -p raincore-bench --bin micro_bench -- \
   --out BENCH_5.current.json --compare BENCH_5.json
 
+echo "==> perfbench self-tests (the repo benchmark's own unit tests)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> bulk macro experiment (sustained out-of-band multicast over the batched engine)"
 cargo run --release -q -p raincore-bench --bin exp_bulk_macro -- 60 1024
 

@@ -5,7 +5,7 @@
 //! driver the paper's deployment implies — one **I/O shard** per node
 //! (see [`crate::shard`]): a single pump thread that owns the node's
 //! sockets outright, drains `poll_outgoing()` into `sendmmsg` batches,
-//! blocks in one `poll(2)` across sockets + a wake fd, and feeds
+//! blocks in one `ppoll(2)` across sockets + a wake fd, and feeds
 //! received bursts and wall-clock time straight into the state machine.
 //! No per-socket reader threads, no per-datagram channel hop. The
 //! deterministic simulator (`raincore-sim`) drives the *same* state
@@ -141,6 +141,7 @@ fn dump_node_obs(node: &SessionNode, io: &IoMetrics) -> ObsDump {
         o.token_rotation.clone(),
     );
     r.attach_histogram("raincore_hungry_wait_ns", labels, o.hungry_wait.clone());
+    r.attach_histogram("raincore_token_hold_late_ns", labels, o.hold_late.clone());
     r.attach_histogram("raincore_911_recovery_ns", labels, o.recovery_911.clone());
     r.attach_histogram(
         "raincore_token_encode_bytes",
@@ -309,7 +310,7 @@ impl RuntimeNode {
 
     /// Enqueues a command (blocking briefly if the bounded queue is
     /// full — that is the backpressure) and pokes the driver's wake
-    /// socket so a thread blocked in `poll` handles it immediately.
+    /// socket so a thread blocked in `ppoll` handles it immediately.
     fn send_cmd(&self, cmd: Cmd) -> Result<(), ()> {
         self.cmd_tx.send(cmd).map_err(|_| ())?;
         self.waker.wake();
@@ -467,6 +468,10 @@ mod tests {
         assert!(dump
             .prometheus
             .contains("# TYPE raincore_token_rotation_ns histogram"));
+        // Hold lateness is exported under the same name as in the sim.
+        assert!(dump
+            .prometheus
+            .contains("raincore_token_hold_late_ns_count{node=\"2\"}"));
         assert!(dump.journal.contains("TOKEN_RX"), "{}", dump.journal);
         assert!(dump.json.contains("\"name\":\"raincore_transport_rtt_ns\""));
         assert!(dump.journal_json.starts_with('['));
