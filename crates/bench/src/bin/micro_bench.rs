@@ -7,12 +7,11 @@
 //! | name | kernel |
 //! |---|---|
 //! | `bench_token_hop` | steady-state token hop: decode → CoW `last_copy` snapshot → seq bump → patch-per-hop encode ([`TokenEncoder`]) |
-//! | `bench_token_hop_legacy` | the pre-change hop: decode → two deep clones → full re-encode with a fresh buffer |
 //! | `bench_wire_codec` | encode+decode round-trip of a message-laden token |
 //! | `bench_chaos_tick` | one seeded chaos run, normalized per engine tick |
 //! | `bench_model_check_states` | one bounded model-check search, normalized per state visited |
 //! | `bench_multicast_throughput` | token hop under 64 in-flight 1KiB multicasts: piggyback payloads vs out-of-band id manifests |
-//! | `bench_udp_pps` | loopback packet throughput: batched vs scalar vs legacy `UdpNet` engines (≥3x packets-per-syscall and faster-than-legacy asserted) |
+//! | `bench_udp_pps` | loopback packet throughput: batched vs scalar backends (≥3x packets-per-syscall and zero steady-state batched allocations asserted) |
 //! | `bench_udp_rtt` | ping round-trip p50/p99 over the batched engine while each ping shares its batch with background load |
 //!
 //! `bytes_per_op` is **heap bytes allocated** per operation (not wire
@@ -32,7 +31,7 @@
 //! the baseline records.
 
 use bytes::Bytes;
-use raincore_net::{Addr, BatchConfig, BatchIo, Datagram, IoBackend, PacketClass, UdpNet};
+use raincore_net::{Addr, BatchConfig, BatchIo, Datagram, IoBackend, PacketClass};
 use raincore_sim::chaos::{generate_schedule, run_chaos, ChaosConfig};
 use raincore_sim::explore::Explorer;
 use raincore_sim::ModelCheckConfig;
@@ -130,7 +129,7 @@ fn quiescent_token(members: u32) -> Token {
 
 const HOPS: u64 = 100_000;
 
-/// The post-change steady-state hop: decode the incoming wire image, take
+/// The steady-state hop: decode the incoming wire image, take
 /// the CoW `last_copy` snapshot (an `Arc` bump), bump `seq`, and encode
 /// through the pooled patch-per-hop encoder.
 fn token_hop() -> u64 {
@@ -152,36 +151,6 @@ fn token_hop() -> u64 {
         enc.cache_hits() >= HOPS - 1,
         "steady-state hops must hit the body cache"
     );
-    HOPS
-}
-
-/// The pre-change hop, reconstructed: the ring and message list were
-/// plain `Vec`s, so the `last_copy` snapshot and the wire-side copy were
-/// both deep clones, and every hop re-encoded the whole token into a
-/// fresh buffer. Kept as the in-file baseline the ≥2× allocation win is
-/// measured against.
-fn token_hop_legacy() -> u64 {
-    fn deep_clone(t: &Token) -> Token {
-        let mut c = Token::founding(Ring::from_iter(t.ring.iter()));
-        c.seq = t.seq;
-        c.tbm = t.tbm;
-        c.trace = t.trace;
-        c.msgs = t.msgs.iter().cloned().collect::<Vec<_>>().into();
-        c
-    }
-    let mut wire = SessionMsg::Token(quiescent_token(8)).encode_to_bytes();
-    let mut last_copy = None;
-    for _ in 0..HOPS {
-        let SessionMsg::Token(mut t) = SessionMsg::decode_from_bytes(&wire).expect("decodes")
-        else {
-            unreachable!("wire image is a token")
-        };
-        t.seq += 1;
-        last_copy = Some(deep_clone(&t));
-        wire = SessionMsg::Token(deep_clone(&t)).encode_to_bytes();
-        black_box(&wire);
-    }
-    black_box(&last_copy);
     HOPS
 }
 
@@ -373,11 +342,10 @@ fn udp_pair(cfg: BatchConfig) -> (BatchIo, BatchIo, Addr, Addr) {
 static UDP_PPS_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::OnceLock::new();
 
 /// ROADMAP item 3 measured at the syscall boundary: the same
-/// send-burst → drain workload over loopback UDP through three engines —
-/// the `sendmmsg`/`recvmmsg` batched path, the scalar
-/// one-datagram-per-syscall fallback, and the legacy `UdpNet` (reader
-/// thread + per-datagram channel hop) this PR replaced. One op is one
-/// datagram moved end to end, counted across all three legs.
+/// send-burst → drain workload over loopback UDP through both backends —
+/// the `sendmmsg`/`recvmmsg` batched path and the scalar
+/// one-datagram-per-syscall fallback. One op is one datagram moved end
+/// to end, counted across both legs.
 ///
 /// Two figures are asserted in-process on Linux:
 /// - **packets per syscall ≥ 3x** batched over scalar, from the engine's
@@ -388,22 +356,25 @@ static UDP_PPS_SUMMARIES: std::sync::OnceLock<Vec<(String, f64)>> = std::sync::O
 ///   rest of this harness gates by, so the throughput ratio is asserted
 ///   where it is reproducible (the syscall ledger) and *reported* where
 ///   it is noisy (wall-clock pps per leg, in the extras).
-/// - **wall-clock pps strictly above legacy**: whatever the host, the
-///   batched engine must beat the reader-thread engine it replaced
-///   (measured ≥ 1.7x even on one core; the assert keeps headroom).
+/// - **no steady-state allocation on the batched leg**: once a warm-up
+///   has filled the buffer pool, the batched engine moves datagrams
+///   without touching the heap (zero-copy receive slices, gathered
+///   sends). Counted with the allocator hook, so it is exact.
 ///
 /// The pool holds as many blocks as a burst has frames, so steady-state
-/// receiving reuses blocks instead of allocating; the legacy leg
-/// allocates per datagram (encode copy, decode copy, channel node) by
-/// construction. The gated allocs/op figure locks in that contrast — an
-/// accidental per-frame allocation on the batched path moves the number
-/// by ~30% and trips the compare gate.
+/// receiving reuses blocks instead of allocating. The scalar leg
+/// allocates per datagram by construction (the `encode_wire` copy on
+/// send, a `Bytes` owner per received datagram), so the gated allocs/op
+/// figure is the scalar leg's cost; the batched leg is pinned directly by
+/// the assert above.
 fn udp_pps() -> u64 {
     const FRAMES: u64 = 48_000;
+    const WARMUP: u64 = 4_800;
     const BURST: usize = 32;
 
-    // (wall-clock pps, syscalls per 1000 packets) for one BatchIo leg.
-    let run = |backend: IoBackend| -> (f64, f64) {
+    // (wall-clock pps, syscalls per 1000 packets, heap allocations after
+    // the warm-up) for one BatchIo leg.
+    let run = |backend: IoBackend| -> (f64, f64, u64) {
         let cfg = BatchConfig {
             batch: BURST,
             slot: 256,
@@ -416,8 +387,12 @@ fn udp_pps() -> u64 {
             .collect();
         let mut out: Vec<Datagram> = Vec::with_capacity(2 * BURST);
         let mut moved = 0u64;
+        let mut allocs_at_warm = None;
         let t0 = Instant::now();
         while moved < FRAMES {
+            if moved >= WARMUP && allocs_at_warm.is_none() {
+                allocs_at_warm = Some(ALLOC_CALLS.load(Ordering::Relaxed));
+            }
             let sent = tx.send_batch(&burst) as u64;
             let mut got = 0u64;
             let deadline = Instant::now() + Duration::from_secs(5);
@@ -428,50 +403,22 @@ fn udp_pps() -> u64 {
             moved += got;
         }
         let pps = moved as f64 / t0.elapsed().as_secs_f64();
+        let allocs0 = allocs_at_warm.expect("the run outlasts its warm-up");
         let syscalls = tx.metrics().syscalls_send.get()
             + tx.metrics().syscalls_poll.get()
             + rx.metrics().syscalls_recv.get()
             + rx.metrics().syscalls_poll.get();
         let packets = tx.metrics().packets_sent.get() + rx.metrics().packets_recv.get();
-        (pps, syscalls as f64 * 1000.0 / packets as f64)
+        (
+            pps,
+            syscalls as f64 * 1000.0 / packets as f64,
+            ALLOC_CALLS.load(Ordering::Relaxed) - allocs0,
+        )
     };
 
-    // The replaced engine, driven exactly as the old runtime drove it:
-    // one `send_to` per frame, receive via the reader thread's channel.
-    let run_legacy = || -> f64 {
-        let a_addr = Addr::primary(NodeId(990));
-        let b_addr = Addr::primary(NodeId(991));
-        let loopback: std::net::SocketAddr = "127.0.0.1:0".parse().expect("loopback");
-        let mut tx = UdpNet::bind(&[(a_addr, loopback)], HashMap::new()).expect("bind tx");
-        let mut rx = UdpNet::bind(&[(b_addr, loopback)], HashMap::new()).expect("bind rx");
-        tx.add_peer(b_addr, rx.local_socket_addr(b_addr).expect("rx bound"));
-        rx.add_peer(a_addr, tx.local_socket_addr(a_addr).expect("tx bound"));
-        let burst: Vec<Datagram> = (0..BURST)
-            .map(|i| Datagram::data(a_addr, b_addr, Bytes::from(vec![i as u8; 32])))
-            .collect();
-        let mut moved = 0u64;
-        let t0 = Instant::now();
-        while moved < FRAMES {
-            for d in &burst {
-                tx.send(d).expect("loopback send");
-            }
-            let mut got = 0u64;
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while got < BURST as u64 && Instant::now() < deadline {
-                if rx.recv_timeout(Duration::from_millis(5)).is_some() {
-                    got += 1;
-                }
-            }
-            moved += got;
-        }
-        moved as f64 / t0.elapsed().as_secs_f64()
-    };
-
-    let (batched_pps, batched_spk) = run(IoBackend::Batched);
-    let (scalar_pps, scalar_spk) = run(IoBackend::Scalar);
-    let legacy_pps = run_legacy();
+    let (batched_pps, batched_spk, batched_allocs) = run(IoBackend::Batched);
+    let (scalar_pps, scalar_spk, _) = run(IoBackend::Scalar);
     let syscall_reduction = scalar_spk / batched_spk;
-    let pps_vs_legacy = batched_pps / legacy_pps;
     if cfg!(target_os = "linux") {
         assert!(
             syscall_reduction >= 3.0,
@@ -480,23 +427,21 @@ fn udp_pps() -> u64 {
              {scalar_spk:.0} syscalls/kpacket ({syscall_reduction:.1}x)"
         );
         assert!(
-            pps_vs_legacy > 1.0,
-            "the batched engine must outrun the legacy reader-thread engine: \
-             batched {batched_pps:.0} pps vs legacy {legacy_pps:.0} pps"
+            batched_allocs == 0,
+            "the batched engine must not allocate in steady state: \
+             {batched_allocs} heap allocations after warm-up"
         );
     }
     UDP_PPS_SUMMARIES
         .set(vec![
             ("batched_pps".to_string(), batched_pps),
             ("scalar_pps".to_string(), scalar_pps),
-            ("legacy_pps".to_string(), legacy_pps),
             ("batched_syscalls_per_kpacket".to_string(), batched_spk),
             ("scalar_syscalls_per_kpacket".to_string(), scalar_spk),
             ("syscall_reduction_x".to_string(), syscall_reduction),
-            ("pps_vs_legacy_x".to_string(), pps_vs_legacy),
         ])
         .expect("set once");
-    3 * FRAMES
+    2 * FRAMES
 }
 
 /// Round-trip percentiles captured by [`udp_rtt`] for the report writer.
@@ -641,7 +586,6 @@ fn main() {
     println!("raincore micro-benchmarks (allocation-counting harness)\n");
     let mut results = [
         measure("bench_token_hop", token_hop),
-        measure("bench_token_hop_legacy", token_hop_legacy),
         measure("bench_wire_codec", wire_codec),
         measure("bench_chaos_tick", chaos_tick),
         measure("bench_model_check_states", model_check_states),
@@ -651,40 +595,31 @@ fn main() {
         measure("bench_udp_rtt", udp_rtt),
     ];
     if let Some(extras) = HOP_STAGE_SUMMARIES.get() {
-        results[5].extras = extras.clone();
+        results[4].extras = extras.clone();
         for (k, v) in extras {
             println!("  bench_hop_latency {k:>16} = {v:.0}");
         }
     }
     if let Some(extras) = MULTICAST_SUMMARIES.get() {
-        results[6].extras = extras.clone();
+        results[5].extras = extras.clone();
         for (k, v) in extras {
             println!("  bench_multicast_throughput {k} = {v:.1}");
         }
     }
     if let Some(extras) = UDP_PPS_SUMMARIES.get() {
-        results[7].extras = extras.clone();
+        results[6].extras = extras.clone();
         for (k, v) in extras {
             println!("  bench_udp_pps {k} = {v:.1}");
         }
     }
     if let Some(extras) = UDP_RTT_SUMMARIES.get() {
-        results[8].extras = extras.clone();
+        results[7].extras = extras.clone();
         for (k, v) in extras {
             println!("  bench_udp_rtt {k} = {v:.0}");
         }
     }
 
-    // The tentpole claim, asserted in-process: the patched hop allocates
-    // at least 2× less than the reconstructed pre-change hop.
     let new_hop = &results[0];
-    let legacy_hop = &results[1];
-    assert!(
-        legacy_hop.allocs_per_op >= 2.0 * new_hop.allocs_per_op,
-        "patch-per-hop must halve allocations: legacy {:.2}/hop vs new {:.2}/hop",
-        legacy_hop.allocs_per_op,
-        new_hop.allocs_per_op
-    );
     // The trace context rides the patched header: carrying it must not
     // break the 6-allocations-per-hop floor the encoder work bought.
     // The measured closure includes one-time setup (founding token,
@@ -715,11 +650,6 @@ fn main() {
         "raincore_bench_allocs_per_hop",
         &[("bench", "token_hop")],
         new_hop.allocs_per_op.ceil() as i64,
-    );
-    registry.set_gauge(
-        "raincore_bench_allocs_per_hop",
-        &[("bench", "token_hop_legacy")],
-        legacy_hop.allocs_per_op.ceil() as i64,
     );
     println!("\n{}", registry.snapshot().to_prometheus());
 

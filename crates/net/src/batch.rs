@@ -1,9 +1,9 @@
-//! Batched-syscall UDP I/O engine with buffer pooling.
+//! Batched-syscall UDP I/O engine with buffer pooling — the workspace's
+//! one real-socket I/O engine.
 //!
-//! ROADMAP item 3: the protocol hot path reached its 6-alloc/hop floor in
-//! PR 5, but every hop still crossed the kernel one `sendto`/`recvfrom` at
-//! a time through per-socket reader threads and an unbounded channel.
-//! [`BatchIo`] replaces that with the production shape:
+//! [`BatchIo`] owns all of a node's sockets (bound by [`UdpNet`] or by
+//! [`BatchIo::bind`]) and is driven by a single pump thread: no internal
+//! threads, no channels. Its shape:
 //!
 //! - **Receive** with `recvmmsg` into a reusable pool of pinned blocks.
 //!   Each received datagram is a zero-copy [`Bytes`] slice of a pooled
@@ -31,10 +31,10 @@
 //! histograms (see [`IoMetrics`]).
 
 use crate::addr::{Addr, Datagram};
-use crate::udp::{decode_wire_shared, encode_wire, encode_wire_header, WIRE_HDR_MAX};
+use crate::udp::{decode_wire_shared, encode_wire, encode_wire_header, UdpNet, WIRE_HDR_MAX};
 use bytes::Bytes;
 use raincore_obs::{Counter, Histogram};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,9 +50,9 @@ pub enum IoBackend {
     /// `sendmmsg`/`recvmmsg`/`ppoll` batching (Linux only; requesting it
     /// elsewhere silently falls back to [`IoBackend::Scalar`]).
     Batched,
-    /// Portable one-datagram-at-a-time `std` socket calls. Kept as the
-    /// non-Linux fallback and as the legacy comparator for the
-    /// `bench_udp_pps` gate.
+    /// Portable one-datagram-at-a-time `std` socket calls: the non-Linux
+    /// fallback, and the one-syscall-per-packet reference that the
+    /// `bench_udp_pps` packets-per-syscall gate measures batching against.
     Scalar,
 }
 
@@ -74,8 +74,7 @@ pub struct BatchConfig {
     pub batch: usize,
     /// Bytes reserved per received datagram (one pool-block slot). A
     /// datagram longer than this is truncated by the kernel and then
-    /// dropped by the wire decoder — the same fate oversized foreign
-    /// traffic meets on the legacy path.
+    /// dropped by the wire decoder, like any other malformed datagram.
     pub slot: usize,
     /// Pool capacity in blocks (each `batch × slot` bytes). The pool
     /// grows past this transiently when receivers hold payload slices,
@@ -197,8 +196,8 @@ impl BufferPool {
     }
 }
 
-/// A cloneable handle that interrupts a [`BatchIo::recv_batch`] wait from
-/// another thread by poking the engine's loopback wake socket.
+/// A handle that interrupts a [`BatchIo::recv_batch`] wait from another
+/// thread by poking the engine's loopback wake socket.
 pub struct IoWaker {
     sock: UdpSocket,
     to: SocketAddr,
@@ -209,15 +208,6 @@ impl IoWaker {
     /// best-effort (a lost wake only costs one poll timeout).
     pub fn wake(&self) {
         let _ = self.sock.send_to(&[1], self.to);
-    }
-}
-
-impl Clone for IoWaker {
-    fn clone(&self) -> Self {
-        IoWaker {
-            sock: self.sock.try_clone().expect("clone waker socket"),
-            to: self.to,
-        }
     }
 }
 
@@ -261,8 +251,6 @@ pub struct BatchIo {
     sockets: Vec<(Addr, UdpSocket)>,
     index: HashMap<Addr, usize>,
     peers: HashMap<Addr, SocketAddr>,
-    /// Datagrams inherited from a legacy `UdpNet` at conversion time.
-    pending: VecDeque<Datagram>,
     pool: BufferPool,
     metrics: IoMetrics,
     backend: IoBackend,
@@ -283,17 +271,12 @@ impl BatchIo {
         peers: HashMap<Addr, SocketAddr>,
         cfg: BatchConfig,
     ) -> std::io::Result<Self> {
-        let mut sockets = Vec::with_capacity(local.len());
-        for &(laddr, saddr) in local {
-            sockets.push((laddr, UdpSocket::bind(saddr)?));
-        }
-        BatchIo::from_parts(sockets, peers, VecDeque::new(), cfg)
+        UdpNet::bind(local, peers)?.into_batch_io(cfg)
     }
 
     pub(crate) fn from_parts(
         sockets: Vec<(Addr, UdpSocket)>,
         peers: HashMap<Addr, SocketAddr>,
-        pending: VecDeque<Datagram>,
         cfg: BatchConfig,
     ) -> std::io::Result<Self> {
         let backend = if cfg!(target_os = "linux") {
@@ -319,7 +302,6 @@ impl BatchIo {
             sockets,
             index,
             peers,
-            pending,
             pool,
             metrics,
             backend,
@@ -385,14 +367,6 @@ impl BatchIo {
     /// were appended. Datagrams that fail wire decoding (garbage,
     /// truncation, foreign traffic) are dropped and counted.
     pub fn recv_batch(&mut self, out: &mut Vec<Datagram>, timeout: Duration) -> usize {
-        let mut got = 0;
-        while let Some(d) = self.pending.pop_front() {
-            out.push(d);
-            got += 1;
-        }
-        if got > 0 {
-            return got;
-        }
         match self.backend {
             #[cfg(target_os = "linux")]
             IoBackend::Batched => self.recv_batched(out, timeout),
@@ -577,7 +551,7 @@ impl BatchIo {
         }
     }
 
-    // ---- scalar backend (portable fallback / legacy comparator) -------
+    // ---- scalar backend (portable fallback) ---------------------------
 
     fn send_scalar(&mut self, frames: &[Datagram]) -> usize {
         let mut accepted = 0;
@@ -720,14 +694,16 @@ mod tests {
 
     #[test]
     fn unknown_addrs_are_counted_drops() {
-        let (mut a, _b, a_addr, _) = pair(IoBackend::default_for_platform());
-        let unknown = Addr::primary(NodeId(99));
-        let sent = a.send_batch(&[
-            Datagram::control(a_addr, unknown, Bytes::from_static(b"x")),
-            Datagram::control(unknown, a_addr, Bytes::from_static(b"y")),
-        ]);
-        assert_eq!(sent, 0);
-        assert_eq!(a.metrics().send_dropped.get(), 2);
+        for backend in [IoBackend::Batched, IoBackend::Scalar] {
+            let (mut a, _b, a_addr, _) = pair(backend);
+            let unknown = Addr::primary(NodeId(99));
+            let sent = a.send_batch(&[
+                Datagram::control(a_addr, unknown, Bytes::from_static(b"x")),
+                Datagram::control(unknown, a_addr, Bytes::from_static(b"y")),
+            ]);
+            assert_eq!(sent, 0, "{backend:?}");
+            assert_eq!(a.metrics().send_dropped.get(), 2, "{backend:?}");
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! * complete per-node, per-traffic-class packet/byte accounting — the raw
 //!   material for the paper's network-overhead table.
 //!
-//! A real [`udp::UdpNet`] backend with the same [`Datagram`] vocabulary is
-//! provided so the protocol stack also runs on an actual network.
+//! A real UDP backend with the same [`Datagram`] vocabulary is provided so
+//! the protocol stack also runs on an actual network: [`udp::UdpNet`]
+//! binds the sockets and [`batch::BatchIo`] moves the datagrams.
 //!
 //! All protocol crates are *sans-io*: they consume and produce [`Datagram`]
 //! values and never touch sockets, which is what lets one implementation

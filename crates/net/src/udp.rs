@@ -1,10 +1,12 @@
-//! Real UDP backend.
+//! Real UDP backend: socket binding and the wire format.
 //!
 //! The production Raincore implementation "uses UDP as the packet sending
-//! and receiving interface" (§2.1). [`UdpNet`] provides the same
-//! [`Datagram`] vocabulary as the simulator over real
-//! [`std::net::UdpSocket`]s, so the protocol state machines run unchanged
-//! on an actual network (see the `udp_cluster` example).
+//! and receiving interface" (§2.1). [`UdpNet`] binds a node's sockets and
+//! records its peers; [`UdpNet::into_batch_io`] then hands them to the
+//! one real-socket I/O engine, [`BatchIo`], which carries the same
+//! [`Datagram`] vocabulary as the simulator. The protocol state machines
+//! therefore run unchanged on an actual network (see the `udp_cluster`
+//! example).
 //!
 //! Each logical [`Addr`] (node + NIC index) maps to one socket address;
 //! multiple NICs per node are simply multiple bound sockets, giving real
@@ -15,16 +17,11 @@
 //! `varint(src.node) · u8(src.nic) · u8(class) · payload`.
 
 use crate::addr::{Addr, Datagram, PacketClass};
+use crate::batch::{BatchConfig, BatchIo};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use raincore_types::wire::{Reader, WireDecode, WireEncode, Writer};
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-const MAX_DGRAM: usize = 65_536;
 
 /// Encode a datagram into its on-the-wire form:
 /// `varint(src.node) · u8(src.nic) · u8(class) · payload`.
@@ -112,17 +109,17 @@ fn put_varint_raw(out: &mut [u8; WIRE_HDR_MAX], mut n: usize, mut v: u64) -> usi
     }
 }
 
-/// A UDP-backed datagram network endpoint for one node.
+/// A node's bound UDP sockets and its peer map, before the I/O engine
+/// takes them over.
 ///
-/// Binds one socket per local NIC and spawns a reader thread per socket;
-/// received datagrams are queued on an internal channel and drained with
-/// [`UdpNet::try_recv`] / [`UdpNet::recv_timeout`].
+/// Binding is split from driving so a caller can read the OS-chosen
+/// ports ([`UdpNet::local_socket_addr`]) and exchange peer addresses
+/// before any node starts. `UdpNet` runs no thread and reads no socket:
+/// datagrams that arrive before [`UdpNet::into_batch_io`] wait in the
+/// kernel socket buffer and come out of the engine's first `recv_batch`.
 pub struct UdpNet {
-    sockets: HashMap<Addr, UdpSocket>,
+    sockets: Vec<(Addr, UdpSocket)>,
     peers: HashMap<Addr, SocketAddr>,
-    rx: Receiver<Datagram>,
-    stop: Arc<AtomicBool>,
-    readers: Vec<JoinHandle<()>>,
 }
 
 impl UdpNet {
@@ -135,29 +132,17 @@ impl UdpNet {
         local: &[(Addr, SocketAddr)],
         peers: HashMap<Addr, SocketAddr>,
     ) -> std::io::Result<Self> {
-        let (tx, rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut sockets = HashMap::new();
-        let mut readers = Vec::new();
-        for &(laddr, saddr) in local {
-            let sock = UdpSocket::bind(saddr)?;
-            sock.set_read_timeout(Some(std::time::Duration::from_millis(100)))?;
-            let reader_sock = sock.try_clone()?;
-            sockets.insert(laddr, sock);
-            readers.push(spawn_reader(reader_sock, laddr, tx.clone(), stop.clone()));
-        }
-        Ok(UdpNet {
-            sockets,
-            peers,
-            rx,
-            stop,
-            readers,
-        })
+        let sockets = local
+            .iter()
+            .map(|&(laddr, saddr)| Ok((laddr, UdpSocket::bind(saddr)?)))
+            .collect::<std::io::Result<_>>()?;
+        Ok(UdpNet { sockets, peers })
     }
 
     /// The OS socket address actually bound for a local logical address.
     pub fn local_socket_addr(&self, addr: Addr) -> Option<SocketAddr> {
-        self.sockets.get(&addr).and_then(|s| s.local_addr().ok())
+        let (_, sock) = self.sockets.iter().find(|(a, _)| *a == addr)?;
+        sock.local_addr().ok()
     }
 
     /// Registers (or updates) the socket address of a peer's logical
@@ -166,107 +151,17 @@ impl UdpNet {
         self.peers.insert(addr, saddr);
     }
 
-    /// Sends a datagram. `dgram.src` must be one of the locally bound
-    /// addresses and `dgram.dst` must be a known peer.
-    pub fn send(&self, dgram: &Datagram) -> std::io::Result<()> {
-        let sock = self.sockets.get(&dgram.src).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "unbound source addr")
-        })?;
-        let to = self.peers.get(&dgram.dst).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "unknown peer addr")
-        })?;
-        sock.send_to(&encode_wire(dgram), to)?;
-        Ok(())
+    /// Hands every bound socket and the peer map to the batched I/O
+    /// engine; from here on the caller's pump thread owns all I/O.
+    pub fn into_batch_io(self, cfg: BatchConfig) -> std::io::Result<BatchIo> {
+        BatchIo::from_parts(self.sockets, self.peers, cfg)
     }
-
-    /// Dequeues one received datagram without blocking.
-    pub fn try_recv(&self) -> Option<Datagram> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Dequeues one received datagram, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Datagram> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    /// Converts this endpoint into the batched I/O engine, keeping every
-    /// bound socket, the peer map, and any datagrams the reader threads
-    /// already queued (delivered first by the next `recv_batch`). The
-    /// reader threads are stopped and joined; from here on the caller's
-    /// pump thread owns all I/O.
-    pub fn into_batch_io(
-        mut self,
-        cfg: crate::batch::BatchConfig,
-    ) -> std::io::Result<crate::batch::BatchIo> {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake each reader out of its blocking recv with a zero-byte
-        // datagram to its own socket (decodes to None, so it is dropped);
-        // worst case the 100ms read timeout bounds the join anyway.
-        for sock in self.sockets.values() {
-            if let Ok(me) = sock.local_addr() {
-                let _ = sock.send_to(&[], me);
-            }
-        }
-        for h in self.readers.drain(..) {
-            let _ = h.join();
-        }
-        let sockets: Vec<(Addr, UdpSocket)> =
-            std::mem::take(&mut self.sockets).into_iter().collect();
-        let peers = std::mem::take(&mut self.peers);
-        let mut pending = std::collections::VecDeque::new();
-        while let Ok(d) = self.rx.try_recv() {
-            pending.push_back(d);
-        }
-        crate::batch::BatchIo::from_parts(sockets, peers, pending, cfg)
-    }
-}
-
-impl Drop for UdpNet {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for h in self.readers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn spawn_reader(
-    sock: UdpSocket,
-    local: Addr,
-    tx: Sender<Datagram>,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("raincore-udp-rx-{local}"))
-        .spawn(move || {
-            let mut buf = vec![0u8; MAX_DGRAM];
-            while !stop.load(Ordering::SeqCst) {
-                match sock.recv_from(&mut buf) {
-                    Ok((n, _from)) => {
-                        if let Some(d) = decode_wire(&buf[..n], local) {
-                            if tx.send(d).is_err() {
-                                return; // receiver side gone
-                            }
-                        }
-                        // Undecodable datagrams (foreign traffic) are dropped,
-                        // exactly like garbage on a real port.
-                    }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        continue;
-                    }
-                    Err(_) => return,
-                }
-            }
-        })
-        .expect("spawn udp reader thread")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::IoBackend;
     use raincore_types::NodeId;
 
     fn loopback() -> SocketAddr {
@@ -336,62 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn two_endpoints_exchange_datagrams() {
-        let a_addr = Addr::primary(NodeId(0));
-        let b_addr = Addr::primary(NodeId(1));
-        let mut a = UdpNet::bind(&[(a_addr, loopback())], HashMap::new()).unwrap();
-        let mut b = UdpNet::bind(&[(b_addr, loopback())], HashMap::new()).unwrap();
-        a.add_peer(b_addr, b.local_socket_addr(b_addr).unwrap());
-        b.add_peer(a_addr, a.local_socket_addr(a_addr).unwrap());
-
-        a.send(&Datagram::control(
-            a_addr,
-            b_addr,
-            Bytes::from_static(b"ping"),
-        ))
-        .unwrap();
-        let got = b
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("datagram");
-        assert_eq!(&got.payload[..], b"ping");
-        assert_eq!(got.src, a_addr);
-        assert_eq!(got.dst, b_addr);
-
-        b.send(&Datagram::control(
-            b_addr,
-            a_addr,
-            Bytes::from_static(b"pong"),
-        ))
-        .unwrap();
-        let got = a
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("datagram");
-        assert_eq!(&got.payload[..], b"pong");
-    }
-
-    #[test]
-    fn send_to_unknown_peer_errors() {
-        let a_addr = Addr::primary(NodeId(0));
-        let a = UdpNet::bind(&[(a_addr, loopback())], HashMap::new()).unwrap();
-        let err = a
-            .send(&Datagram::control(
-                a_addr,
-                Addr::primary(NodeId(9)),
-                Bytes::new(),
-            ))
-            .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::AddrNotAvailable);
-        let err = a
-            .send(&Datagram::control(
-                Addr::primary(NodeId(5)),
-                a_addr,
-                Bytes::new(),
-            ))
-            .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::AddrNotAvailable);
-    }
-
-    #[test]
     fn multiple_nics_bind_separately() {
         let n0 = Addr::new(NodeId(0), 0);
         let n1 = Addr::new(NodeId(0), 1);
@@ -399,5 +238,27 @@ mod tests {
         let s0 = net.local_socket_addr(n0).unwrap();
         let s1 = net.local_socket_addr(n1).unwrap();
         assert_ne!(s0.port(), s1.port());
+    }
+
+    #[test]
+    fn datagram_sent_before_conversion_is_first_received() {
+        for backend in [IoBackend::Batched, IoBackend::Scalar] {
+            let me = Addr::primary(NodeId(1));
+            let net = UdpNet::bind(&[(me, loopback())], HashMap::new()).unwrap();
+            let to = net.local_socket_addr(me).unwrap();
+            let early =
+                Datagram::control(Addr::primary(NodeId(0)), me, Bytes::from_static(b"early"));
+            let sender = UdpSocket::bind(loopback()).unwrap();
+            sender.send_to(&encode_wire(&early), to).unwrap();
+
+            let cfg = BatchConfig {
+                backend,
+                ..BatchConfig::default()
+            };
+            let mut io = net.into_batch_io(cfg).unwrap();
+            let mut got = Vec::new();
+            io.recv_batch(&mut got, std::time::Duration::from_secs(5));
+            assert_eq!(got, vec![early], "{backend:?}");
+        }
     }
 }

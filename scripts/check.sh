@@ -71,8 +71,8 @@ cargo run --release -q -p raincore-sim --bin chaos -- --soak 200 --seed 1 --tick
 
 echo "==> micro-bench (report + <=25% allocation regression vs committed BENCH_5.json)"
 # Also asserts, in-process: >=3x packets-per-syscall for the batched I/O
-# engine over the scalar path, and batched throughput above the legacy
-# reader-thread engine (bench_udp_pps / bench_udp_rtt).
+# engine over the scalar path, and zero steady-state heap allocations on
+# the batched leg (bench_udp_pps).
 cargo run --release -q -p raincore-bench --bin micro_bench -- \
   --out BENCH_5.current.json --compare BENCH_5.json
 

@@ -222,10 +222,10 @@ impl RuntimeNode {
     /// Spawns the driver thread with explicit I/O engine tuning (batch
     /// size, pool depth, backend choice — see [`BatchConfig`]).
     ///
-    /// The legacy reader threads inside `net` are stopped and their
-    /// sockets handed to a single [`IoShard`] pump owned by the driver
-    /// thread; any datagrams they had already queued are delivered
-    /// first.
+    /// The sockets bound in `net` are handed to a single [`IoShard`]
+    /// pump owned by the driver thread. Datagrams that reached them
+    /// before the spawn wait in the kernel socket buffer and are the
+    /// first ones the pump receives.
     pub fn spawn_with(
         mut node: SessionNode,
         net: UdpNet,
